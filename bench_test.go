@@ -122,25 +122,6 @@ func BenchmarkMapperSample(b *testing.B) {
 	}
 }
 
-// BenchmarkMapperSampleSharded measures candidate generation throughput
-// with the generator split across 8 concurrent shard rngs — the sampler
-// ceiling the parallel search benches used to hit.
-func BenchmarkMapperSampleSharded(b *testing.B) {
-	eng, ctx := benchEngine(b)
-	opts := eng.Arch().MapperOptions(64, 1)
-	opts.Shards = 8
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ms, err := mapper.Sample(eng.Arch().Levels, ctx.Sliced, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(ms) == 0 {
-			b.Fatal("no mappings")
-		}
-	}
-}
-
 // BenchmarkValueSimulator measures the value-level ground truth: the slow
 // path the statistical model replaces (Table II's left column).
 func BenchmarkValueSimulator(b *testing.B) {
@@ -183,12 +164,11 @@ func BenchmarkNetworkEvaluation(b *testing.B) {
 }
 
 // Intra-request mapping-search parallelism: one layer, a large candidate
-// budget, serial vs fanned evaluation. The parallel variants shard the
-// candidate generator to match the worker count (SampleShards = workers),
-// so neither sampling nor evaluation is serialized; results stay
-// deterministic for a given (Seed, shards). Serial keeps the single
-// generator stream. CI's benchmark gate compares Serial vs Parallel8
-// (see BENCH_baseline.json and cmd/benchgate).
+// budget, serial vs fanned evaluation. Every variant draws the same
+// single seeded candidate stream, so all of them return the same winner;
+// the parallel ones overlap its generation with costing across the
+// workers. CI's benchmark gate compares Serial vs Parallel8 (see
+// BENCH_baseline.json and cmd/benchgate).
 
 // searchBudget is large enough that per-candidate evaluation dominates
 // the serial sampler (Amdahl headroom for the fan-out).
@@ -198,14 +178,10 @@ func benchSearchLayer(b *testing.B, workers int) {
 	b.Helper()
 	eng, lctx := benchEngine(b)
 	ctx := context.Background()
-	shards := 0
-	if workers > 1 {
-		shards = workers
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, evaluated, err := eng.SearchLayerOptsCtx(ctx, lctx, core.SearchOptions{
-			MaxMappings: searchBudget, Seed: 1, SearchWorkers: workers, SampleShards: shards})
+			MaxMappings: searchBudget, Seed: 1, SearchWorkers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,8 +203,8 @@ func BenchmarkSearchLayerParallel8(b *testing.B) { benchSearchLayer(b, 8) }
 // with intra-request fan-out on a warm cache: the single-request latency
 // a client of /v1/evaluate sees with "search_workers" set.
 func BenchmarkEvaluateRequestParallel(b *testing.B) {
-	srv := NewServer(BatchOptions{SearchWorkers: 8})
-	req := EvalRequest{Macro: "base", Network: "toy", MaxMappings: searchBudget}
+	srv := NewServer(BatchOptions{})
+	req := EvalRequest{Macro: "base", Network: "toy", MaxMappings: searchBudget, SearchWorkers: 8}
 	if _, err := srv.Evaluate(req); err != nil { // prime the cache
 		b.Fatal(err)
 	}

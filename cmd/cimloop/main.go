@@ -8,7 +8,7 @@
 //	cimloop run <experiment|all> [-fast] [-csv] [-mappings N] [-seed N] [-search-workers N]
 //	cimloop macros
 //	cimloop spec <file.yaml> [-network NAME] [-mappings N] [-search-workers N]
-//	cimloop serve [-addr :8080] [-workers N] [-mappings N] [-cache N] [-search-workers N]
+//	cimloop serve [-addr :8080] [-workers N] [-mappings N] [-cache N]
 //	              [-cache-dir DIR] [-jobs-dir DIR] [-max-body BYTES]
 //	              [-node-id ID -peers id=url,...] [-vnodes N] [-blob URL]
 //	cimloop blobd [-addr :8090] -dir DIR
@@ -27,12 +27,9 @@
 // -search-workers fans each layer's candidate mapping evaluations across
 // a bounded goroutine pool. The parallel search is bit-identical to the
 // serial one (deterministic minimum-cost, lowest-index winner), so the
-// flag only changes latency, never results; under `serve` the default
-// (0) picks the width adaptively per layer from measured candidate cost.
-// -sample-shards additionally parallelizes candidate *generation* across
-// independent seeded streams with a deterministic merge — that one does
-// select a different candidate set, so results are reproducible only at
-// equal (seed, shards).
+// flag only changes latency, never results. `serve` has no such flag: it
+// picks each layer's width adaptively from measured candidate cost, and
+// a request may set its own width with "search_workers".
 //
 // -cache-dir and -jobs-dir enable durable warm starts (package persist):
 // compiled engines, per-layer contexts, and job records persist across
@@ -150,10 +147,6 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "evaluation goroutines (0 = one per CPU)")
-	searchWorkers := fs.Int("search-workers", 0,
-		"per-request mapping-search fan-out, budget shared with the worker pool (0 = adaptive per layer from measured candidate cost; negative = serial)")
-	sampleShards := fs.Int("sample-shards", 0,
-		"candidate-generation shards per layer search; >1 samples a different (still deterministic) candidate set, so results are comparable only at equal (seed, shards) (0 = 1 stream, the historical sequence)")
 	mappings := fs.Int("mappings", 0, "default per-layer mapping budget (0 = 60)")
 	cacheEntries := fs.Int("cache", 0, "engine/context cache entries (0 = default)")
 	cacheDir := fs.String("cache-dir", "",
@@ -196,8 +189,6 @@ func runServe(args []string) error {
 	// /v1/experiments can list and regenerate paper artifacts.
 	srv := cimloop.NewServer(cimloop.BatchOptions{
 		Workers:        *workers,
-		SearchWorkers:  *searchWorkers,
-		SampleShards:   *sampleShards,
 		MaxMappings:    *mappings,
 		CacheEntries:   *cacheEntries,
 		CacheDir:       *cacheDir,

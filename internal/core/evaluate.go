@@ -71,6 +71,12 @@ func (r *Result) EnergyPerMAC() float64 {
 	return r.Energy / float64(r.MACs)
 }
 
+// tensorKinds fixes the order EvaluateMapping sums per-tensor terms in.
+// Floating-point addition is not associative, so ranging over a
+// per-level counts map (random order) would let the same mapping cost a
+// few ulp differently from one evaluation to the next.
+var tensorKinds = [...]tensor.Kind{tensor.Input, tensor.Weight, tensor.Output}
+
 // EvaluateMapping computes energy, cycles, and throughput of one mapping
 // using the layer context's precomputed per-action energies (Algorithm 1
 // lines 8–10: only the count analysis runs per mapping).
@@ -99,7 +105,11 @@ func (e *Engine) EvaluateMapping(ctx *LayerContext, m *mapping.Mapping) (*Result
 			continue
 		}
 		var bits float64
-		for t, tc := range counts.PerLevel[i] {
+		for _, t := range tensorKinds {
+			tc := counts.PerLevel[i][t]
+			if tc == nil {
+				continue
+			}
 			per := float64(e.arch.InputBits)
 			switch t {
 			case tensor.Weight:
@@ -145,9 +155,10 @@ func (e *Engine) EvaluateMapping(ctx *LayerContext, m *mapping.Mapping) (*Result
 		if b.model != nil && idlePerMapped > 0 {
 			idleE = b.model.EnergyAt(0, 0, 0)
 		}
-		for t, tc := range counts.PerLevel[i] {
+		for _, t := range tensorKinds {
+			tc := counts.PerLevel[i][t]
 			ae, ok := ctx.energies[i][t]
-			if !ok {
+			if tc == nil || !ok {
 				continue
 			}
 			var joules float64
@@ -211,15 +222,6 @@ type SearchOptions struct {
 	// winner), so the knob trades goroutines for single-request latency
 	// without changing any answer.
 	SearchWorkers int
-	// SampleShards splits candidate *generation* across this many
-	// independent seeded streams with a deterministic merge
-	// (mapper.Options.Shards), lifting the serial-sampler ceiling on
-	// SearchWorkers speedup. Unlike SearchWorkers, the shard count is part
-	// of the result's identity: values > 1 sample a different (still
-	// deterministic) candidate set, so results are reproducible only at
-	// equal (Seed, SampleShards). <= 1 keeps today's single-stream
-	// sequence.
-	SampleShards int
 }
 
 // SearchLayer finds the lowest-energy mapping for a prepared layer,
@@ -246,9 +248,6 @@ func (e *Engine) SearchLayerCtx(ctx context.Context, lctx *LayerContext, maxMapp
 // bit-identical to the serial path's.
 func (e *Engine) SearchLayerOptsCtx(ctx context.Context, lctx *LayerContext, so SearchOptions) (*Result, int, error) {
 	opts := e.arch.MapperOptions(so.MaxMappings, so.Seed)
-	if so.SampleShards > 1 {
-		opts.Shards = so.SampleShards
-	}
 	if so.SearchWorkers > 1 {
 		cost := func(m *mapping.Mapping) (float64, error) {
 			r, err := e.EvaluateMapping(lctx, m)

@@ -13,33 +13,64 @@ import (
 // TestSearchLayerParallelMatchesSerial is the engine-level equivalence
 // property: the parallel per-layer search returns the identical best
 // mapping, energy, and evaluated count as the serial search across seeds
-// and worker counts — every metric, not just the winner's energy.
+// and worker counts — every metric, not just the winner's energy. Besides
+// the toy layer it runs the full-size base macro on ResNet18's conv1,
+// where every level sums several tensors' terms, so any evaluation-order
+// rounding would show as an ulp of difference.
 func TestSearchLayerParallelMatchesSerial(t *testing.T) {
-	eng, lctx := cancelTestEngine(t)
-	for seed := int64(0); seed < 5; seed++ {
-		want, wantN, err := eng.SearchLayerOptsCtx(context.Background(), lctx,
-			core.SearchOptions{MaxMappings: 48, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			got, gotN, err := eng.SearchLayerOptsCtx(context.Background(), lctx,
-				core.SearchOptions{MaxMappings: 48, Seed: seed, SearchWorkers: workers})
+	toyEng, toyCtx := cancelTestEngine(t)
+	baseEng, conv1 := baseConv1(t)
+	for _, in := range []struct {
+		name string
+		eng  *core.Engine
+		lctx *core.LayerContext
+	}{
+		{"toy", toyEng, toyCtx},
+		{"base/resnet18/conv1", baseEng, conv1},
+	} {
+		for seed := int64(0); seed < 5; seed++ {
+			want, wantN, err := in.eng.SearchLayerOptsCtx(context.Background(), in.lctx,
+				core.SearchOptions{MaxMappings: 48, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotN != wantN {
-				t.Fatalf("seed %d workers %d: evaluated %d vs %d", seed, workers, gotN, wantN)
-			}
-			if got.Energy != want.Energy || got.Cycles != want.Cycles ||
-				got.Utilization != want.Utilization || got.TimeSec != want.TimeSec ||
-				got.Mapping.String() != want.Mapping.String() {
-				t.Fatalf("seed %d workers %d diverged:\n  parallel %g J %d cyc %s\n  serial   %g J %d cyc %s",
-					seed, workers, got.Energy, got.Cycles, got.Mapping,
-					want.Energy, want.Cycles, want.Mapping)
+			for _, workers := range []int{2, 4, 8} {
+				got, gotN, err := in.eng.SearchLayerOptsCtx(context.Background(), in.lctx,
+					core.SearchOptions{MaxMappings: 48, Seed: seed, SearchWorkers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotN != wantN {
+					t.Fatalf("%s seed %d workers %d: evaluated %d vs %d", in.name, seed, workers, gotN, wantN)
+				}
+				if got.Energy != want.Energy || got.Cycles != want.Cycles ||
+					got.Utilization != want.Utilization || got.TimeSec != want.TimeSec ||
+					got.Mapping.String() != want.Mapping.String() {
+					t.Fatalf("%s seed %d workers %d diverged:\n  parallel %.17g J %d cyc %s\n  serial   %.17g J %d cyc %s",
+						in.name, seed, workers, got.Energy, got.Cycles, got.Mapping,
+						want.Energy, want.Cycles, want.Mapping)
+				}
 			}
 		}
 	}
+}
+
+// baseConv1 prepares ResNet18's first layer on the full-size base macro.
+func baseConv1(t *testing.T) (*core.Engine, *core.LayerContext) {
+	t.Helper()
+	arch, err := macros.Base(macros.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lctx, err := eng.PrepareLayer(workload.ResNet18().Layers[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, lctx
 }
 
 // TestEvaluateNetworkParallelMatchesSerial checks the network roll-up —

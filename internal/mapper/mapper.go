@@ -25,17 +25,6 @@ type Options struct {
 	MaxMappings int
 	// Seed makes sampling deterministic.
 	Seed int64
-	// Shards splits candidate generation across this many independent
-	// seeded streams (shard g draws from Seed ^ g) running concurrently,
-	// merged by a fixed round-robin interleave with cross-shard dedup so
-	// the candidate sequence — and therefore any search winner — is a
-	// pure function of (Seed, Shards), never of scheduling. Shards == 1
-	// runs the sharded pipeline with a single stream and reproduces the
-	// unsharded sequence byte-for-byte; 0 or negative (the zero value)
-	// uses the plain in-line generator, also byte-identical. Values > 1
-	// change which candidates are sampled, so results are comparable
-	// only at equal (Seed, Shards).
-	Shards int
 	// Fixed pins loops to levels (e.g. bit-slice dims onto a column
 	// mesh); generators never move them. Keyed by level index.
 	Fixed map[int][]mapping.Loop
@@ -256,9 +245,7 @@ func Sample(levels []spec.Level, e *tensor.Einsum, opts Options) ([]*mapping.Map
 // time, calling yield with each candidate's index; yield returning false
 // stops generation early. SearchParallelCtx feeds its worker pool from
 // this generator so candidate evaluation overlaps generation instead of
-// waiting for the whole sample. Options.Shards >= 1 routes through the
-// concurrent sharded pipeline (sampleSeqSharded); the sequence stays a
-// deterministic function of (Seed, Shards) either way.
+// waiting for the whole sample.
 func sampleSeq(levels []spec.Level, e *tensor.Einsum, opts Options, yield func(int, *mapping.Mapping) bool) error {
 	if opts.MaxMappings <= 0 {
 		opts.MaxMappings = 100
@@ -269,9 +256,6 @@ func sampleSeq(levels []spec.Level, e *tensor.Einsum, opts Options, yield func(i
 	}
 	if !yield(0, greedy) {
 		return nil
-	}
-	if opts.Shards >= 1 {
-		return sampleSeqSharded(levels, e, opts, greedy.String(), yield)
 	}
 	n := 1
 	seen := map[string]bool{greedy.String(): true}
@@ -391,15 +375,10 @@ type Result struct {
 	Cost    float64
 }
 
-// Search generates candidates and returns the one minimizing the caller's
-// cost function, along with the number of mappings evaluated. Candidates
-// whose evaluation fails are skipped; if every candidate fails, the first
-// error is returned.
-func Search(levels []spec.Level, e *tensor.Einsum, opts Options, cost func(*mapping.Mapping) (float64, error)) (*Result, int, error) {
-	return SearchCtx(context.Background(), levels, e, opts, cost)
-}
-
-// SearchCtx is Search under a context: cancellation is checked before
+// SearchCtx generates candidates and returns the one minimizing the
+// caller's cost function, along with the number of mappings evaluated.
+// Candidates whose evaluation fails are skipped; if every candidate
+// fails, the first error is returned. Cancellation is checked before
 // each candidate evaluation, so a cancelled search returns ctx.Err()
 // promptly instead of finishing the whole sample.
 func SearchCtx(ctx context.Context, levels []spec.Level, e *tensor.Einsum, opts Options, cost func(*mapping.Mapping) (float64, error)) (*Result, int, error) {

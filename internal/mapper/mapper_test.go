@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -211,7 +212,7 @@ func TestSearchMinimizesCost(t *testing.T) {
 		}
 		return float64(c.MACs), nil
 	}
-	best, n, err := Search(levels, e, opts, cost)
+	best, n, err := SearchCtx(context.Background(), levels, e, opts, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestSearchAllCandidatesFail(t *testing.T) {
 	opts := defaultOpts()
 	opts.MaxMappings = 5
 	wantErr := errors.New("boom")
-	_, _, err := Search(levels, e, opts, func(*mapping.Mapping) (float64, error) {
+	_, _, err := SearchCtx(context.Background(), levels, e, opts, func(*mapping.Mapping) (float64, error) {
 		return 0, wantErr
 	})
 	if !errors.Is(err, wantErr) {
@@ -243,7 +244,7 @@ func TestSearchSkipsFailingCandidates(t *testing.T) {
 	opts := defaultOpts()
 	opts.MaxMappings = 10
 	calls := 0
-	best, _, err := Search(levels, e, opts, func(m *mapping.Mapping) (float64, error) {
+	best, _, err := SearchCtx(context.Background(), levels, e, opts, func(m *mapping.Mapping) (float64, error) {
 		calls++
 		if calls%2 == 0 {
 			return 0, errors.New("flaky")

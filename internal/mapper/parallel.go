@@ -10,16 +10,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// SearchParallel is Search with candidate cost evaluations fanned across a
-// bounded pool of workers. It returns exactly what the serial Search
-// returns — the same winner (minimum cost, ties broken by the lowest
-// candidate index), the same first evaluation error, and the same
-// evaluated count — so callers can switch between the two freely. The
-// cost function must be safe for concurrent use.
-func SearchParallel(levels []spec.Level, e *tensor.Einsum, opts Options, workers int, cost func(*mapping.Mapping) (float64, error)) (*Result, int, error) {
-	return SearchParallelCtx(context.Background(), levels, e, opts, workers, cost)
-}
-
 // searchPartial accumulates one worker's share of the reduction. Both
 // folds are order-independent: the winner is the lexicographic minimum of
 // (cost, candidate index) — which is exactly the serial loop's "strictly
@@ -63,8 +53,13 @@ func (p *searchPartial) merge(q *searchPartial) {
 	}
 }
 
-// SearchParallelCtx is SearchParallel under a context. Candidate
-// generation streams from the sampler into the worker pool, so evaluation
+// SearchParallelCtx is SearchCtx with candidate cost evaluations fanned
+// across a bounded pool of workers. It returns exactly what the serial
+// search returns — the same winner (minimum cost, ties broken by the
+// lowest candidate index), the same first evaluation error, and the same
+// evaluated count — so callers can switch between the two freely. The
+// cost function must be safe for concurrent use. Candidate generation
+// streams from the sampler into the worker pool, so evaluation
 // overlaps generation instead of waiting for the whole sample; the
 // candidate sequence is nevertheless identical to Sample's, and the
 // winner is a deterministic (cost, candidate index) reduction merged

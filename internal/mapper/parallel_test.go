@@ -34,8 +34,8 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 				opts := defaultOpts()
 				opts.Seed = seed
 				opts.MaxMappings = budget
-				want, wantN, wantErr := Search(levels, e, opts, costByString)
-				got, gotN, gotErr := SearchParallel(levels, e, opts, workers, costByString)
+				want, wantN, wantErr := SearchCtx(context.Background(), levels, e, opts, costByString)
+				got, gotN, gotErr := SearchParallelCtx(context.Background(), levels, e, opts, workers, costByString)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("seed %d budget %d workers %d: err %v vs %v", seed, budget, workers, gotErr, wantErr)
 				}
@@ -60,12 +60,12 @@ func TestSearchParallelTieBreaksByIndex(t *testing.T) {
 	opts := defaultOpts()
 	opts.MaxMappings = 32
 	flat := func(*mapping.Mapping) (float64, error) { return 42, nil }
-	want, _, err := Search(levels, e, opts, flat)
+	want, _, err := SearchCtx(context.Background(), levels, e, opts, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, _, err := SearchParallel(levels, e, opts, workers, flat)
+		got, _, err := SearchParallelCtx(context.Background(), levels, e, opts, workers, flat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,11 +88,11 @@ func TestSearchParallelFirstError(t *testing.T) {
 		idx.Add(1)
 		return 0, fmt.Errorf("cost failed for %s", m)
 	}
-	wantRes, wantN, wantErr := Search(levels, e, opts, failAll)
+	wantRes, wantN, wantErr := SearchCtx(context.Background(), levels, e, opts, failAll)
 	if wantRes != nil || wantErr == nil {
 		t.Fatalf("serial: result %v err %v, want nil result and an error", wantRes, wantErr)
 	}
-	got, gotN, gotErr := SearchParallel(levels, e, opts, 8, failAll)
+	got, gotN, gotErr := SearchParallelCtx(context.Background(), levels, e, opts, 8, failAll)
 	if got != nil {
 		t.Fatalf("parallel returned a result %v despite every candidate failing", got)
 	}
@@ -124,11 +124,11 @@ func TestSearchParallelSkipsFailingCandidates(t *testing.T) {
 		}
 		return costByString(m)
 	}
-	want, wantN, err := Search(levels, e, opts, failGreedy)
+	want, wantN, err := SearchCtx(context.Background(), levels, e, opts, failGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotN, err := SearchParallel(levels, e, opts, 8, failGreedy)
+	got, gotN, err := SearchParallelCtx(context.Background(), levels, e, opts, 8, failGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSearchParallelConcurrentSearches(t *testing.T) {
 	e := mvm(t, 16, 64, 32)
 	opts := defaultOpts()
 	opts.MaxMappings = 32
-	want, wantN, err := Search(levels, e, opts, costByString)
+	want, wantN, err := SearchCtx(context.Background(), levels, e, opts, costByString)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSearchParallelConcurrentSearches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, gotN, err := SearchParallel(levels, e, opts, 4, costByString)
+			got, gotN, err := SearchParallelCtx(context.Background(), levels, e, opts, 4, costByString)
 			if err != nil {
 				errs <- err
 				return
@@ -239,12 +239,12 @@ func TestSearchParallelSingleWorkerFallsBack(t *testing.T) {
 	e := mvm(t, 16, 64, 32)
 	opts := defaultOpts()
 	opts.MaxMappings = 16
-	want, wantN, err := Search(levels, e, opts, costByString)
+	want, wantN, err := SearchCtx(context.Background(), levels, e, opts, costByString)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, -3} {
-		got, gotN, err := SearchParallel(levels, e, opts, workers, costByString)
+		got, gotN, err := SearchParallelCtx(context.Background(), levels, e, opts, workers, costByString)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,18 +7,16 @@ import (
 )
 
 // searchTuner picks the per-layer mapping-search fan-out from measured
-// candidate cost, replacing a static -search-workers value with a
-// feedback loop: every completed search reports (evaluated, elapsed,
-// width), the tuner folds the implied per-candidate cost into an EWMA
-// keyed by (arch, layer), and the next search over that layer gets a
-// width sized to bring the whole search near targetLayerSec.
+// candidate cost with a feedback loop: every completed search reports
+// (evaluated, elapsed, width), the tuner folds the implied per-candidate
+// cost into an EWMA keyed by (arch, layer), and the next search over that
+// layer gets a width sized to bring the whole search near targetLayerSec.
 //
 // The tuner only ever changes *width*, never results: parallel search is
-// bit-identical to serial at any width, so adaptation is free of the
-// reproducibility hazard that adaptive shard counts would carry (see
-// core.SearchOptions.SampleShards). Unknown layers start serial — the
-// first search doubles as the measurement probe, and a first request is
-// dominated by the layer-context compile anyway.
+// bit-identical to serial at any width, so adaptation carries no
+// reproducibility hazard. Unknown layers start serial — the first search
+// doubles as the measurement probe, and a first request is dominated by
+// the layer-context compile anyway.
 //
 // Cost is recorded as elapsed x width (approximate total work), not wall
 // time, so a wide search does not report an artificially low

@@ -59,22 +59,13 @@ type EvalRequest struct {
 	// Seed drives the mapping search (layer i uses Seed+i, matching the
 	// sequential evaluator).
 	Seed int64 `json:"seed,omitempty"`
-	// SearchWorkers overrides the server's intra-request search fan-out
-	// for this request: > 0 is a fixed width, negative forces serial, 0
-	// keeps the server default (which may be adaptive). The effective
+	// SearchWorkers sets this request's intra-request search fan-out:
+	// > 0 is a fixed width, negative forces serial, 0 lets the server
+	// pick each layer's width from measured candidate cost. The effective
 	// width is still clamped by the shared concurrency budget, so a
 	// request cannot oversubscribe a busy pool; answers are identical at
 	// any width.
 	SearchWorkers int `json:"search_workers,omitempty"`
-	// SampleShards overrides the server's candidate-generation shard
-	// count: > 1 samples each layer's mapping candidates from that many
-	// concurrent seeded streams with a deterministic merge. Unlike
-	// search_workers, the shard count selects WHICH candidates are
-	// sampled: results are reproducible given the same (seed,
-	// sample_shards) but differ from the single-stream default, so set it
-	// explicitly when comparing runs. <= 0 keeps the server default
-	// (normally 1, the historical stream).
-	SampleShards int `json:"sample_shards,omitempty"`
 }
 
 // EvalResult is one completed evaluation — the response of POST
@@ -333,25 +324,20 @@ func (s CacheStats) HitRate() float64 {
 // (healthz "search" section).
 type BudgetStats struct {
 	// Capacity is the total evaluation-concurrency budget (max of the
-	// request pool width and the default search fan-out).
+	// request pool width and the CPU count).
 	Capacity int `json:"capacity"`
 	// Available is the instantaneous unclaimed share of the budget.
 	Available int `json:"available"`
-	// SearchWorkers is the server's default per-request search fan-out
-	// (1 = serial searches unless a request asks for more; 0 = the width
-	// is picked adaptively per layer, see Adaptive).
-	SearchWorkers int `json:"search_workers"`
 	// BlockedAcquires counts fan-out acquisitions that waited (blocking
 	// budget mode): the request had deadline headroom, the budget was
 	// empty, and the server parked it briefly for tokens instead of
 	// degrading the search to serial.
 	BlockedAcquires uint64 `json:"blocked_acquires"`
-	// Adaptive reports adaptive-width mode: the server picks each layer
-	// search's fan-out from an EWMA of that layer's measured per-candidate
-	// cost instead of a static width. Width never changes results, so the
-	// mode is invisible in answers — these counters are its only surface.
-	Adaptive bool `json:"adaptive,omitempty"`
-	// AdaptivePlans counts per-layer width decisions the tuner has made.
+	// AdaptivePlans counts per-layer width decisions the tuner has made:
+	// a request that leaves search_workers at 0 gets each layer search's
+	// fan-out from an EWMA of that layer's measured per-candidate cost.
+	// Width never changes results, so the tuner is invisible in answers —
+	// these counters are its only surface.
 	AdaptivePlans uint64 `json:"adaptive_plans,omitempty"`
 	// TunedLayers counts distinct (arch, layer) pairs with a cost EWMA —
 	// layers whose next search gets a measured width rather than the

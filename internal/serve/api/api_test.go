@@ -148,8 +148,8 @@ func goldenCases() []struct {
 			UptimeSec: 12.5,
 			Cache:     CacheStats{Hits: 10, Misses: 2, Evictions: 1, Entries: 9, Restored: 4, Compiles: 6},
 			Jobs:      jobs.Stats{Queued: 2, QueuedInteractive: 1, QueuedBatch: 1, Running: 1, Finished: 5},
-			Search: BudgetStats{Capacity: 8, Available: 3, SearchWorkers: 4,
-				BlockedAcquires: 2, MappingsEvaluated: 1200},
+			Search: BudgetStats{Capacity: 8, Available: 3, BlockedAcquires: 2,
+				AdaptivePlans: 30, TunedLayers: 6, MappingsEvaluated: 1200},
 			Persist: PersistStats{
 				Enabled: true,
 				Warm:    WarmStats{Engines: 1, Contexts: 2, Jobs: 3, Replayed: 1, Checkpoints: 2, Skipped: 1},

@@ -49,6 +49,11 @@ func TestErrorEnvelopeMalformedAndUnknown(t *testing.T) {
 	if code, _ := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" {
 		t.Fatalf("unknown field: %d %v", status, out)
 	}
+	// A removed field is unknown too: sample_shards no longer exists.
+	status, out = do("POST", "/v1/evaluate", `{"macro": "base", "network": "toy", "sample_shards": 4}`)
+	if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, "sample_shards") {
+		t.Fatalf("removed field sample_shards: %d %v", status, out)
+	}
 	// Semantically invalid request.
 	status, out = do("POST", "/v1/evaluate", `{"macro": "no-such", "network": "toy"}`)
 	if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, "no-such") {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -59,51 +60,62 @@ func TestTokenBudgetConcurrent(t *testing.T) {
 
 // TestEvaluateParallelMatchesSerial checks a request answered with
 // intra-request fan-out carries the identical metrics as the serial
-// answer, including the evaluated-mapping count.
+// answer, including the evaluated-mapping count. Besides the toy network
+// it runs the full-size base macro on ResNet18's conv1, where costing
+// sums several tensors' terms per level and an evaluation-order rounding
+// difference would show.
 func TestEvaluateParallelMatchesSerial(t *testing.T) {
-	serial := NewServer(BatchOptions{})
-	parallel := NewServer(BatchOptions{SearchWorkers: 8})
-	req := Request{Macro: "base", Network: "toy", MaxMappings: 24, Seed: 3}
-	want, err := serial.Evaluate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := parallel.Evaluate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.EnergyJ != want.EnergyJ || got.GOPS != want.GOPS || got.TOPSPerW != want.TOPSPerW ||
-		got.MappingsEvaluated != want.MappingsEvaluated {
-		t.Fatalf("parallel result diverged:\n  parallel %+v\n  serial   %+v", got, want)
-	}
-	if want.MappingsEvaluated == 0 {
-		t.Fatal("MappingsEvaluated not populated")
-	}
-	// Per-request override on a serial server: same answer again.
-	req.SearchWorkers = 4
-	over, err := serial.Evaluate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if over.EnergyJ != want.EnergyJ || over.MappingsEvaluated != want.MappingsEvaluated {
-		t.Fatalf("per-request override diverged: %+v vs %+v", over, want)
+	s := NewServer(BatchOptions{})
+	for _, base := range []Request{
+		{Macro: "base", Network: "toy", MaxMappings: 24, Seed: 3},
+		{Macro: "base", Network: "resnet18", Layers: 1, MaxMappings: 48, Seed: 3},
+	} {
+		serial := base
+		serial.SearchWorkers = -1
+		want, err := s.Evaluate(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.MappingsEvaluated == 0 {
+			t.Fatal("MappingsEvaluated not populated")
+		}
+		for _, width := range []int{2, 4, 8} {
+			req := base
+			req.SearchWorkers = width
+			got, err := s.Evaluate(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.EnergyJ != want.EnergyJ || got.TimeSec != want.TimeSec || got.GOPS != want.GOPS ||
+				got.TOPSPerW != want.TOPSPerW || got.MappingsEvaluated != want.MappingsEvaluated {
+				t.Fatalf("%s/%s width %d diverged:\n  parallel %+v\n  serial   %+v",
+					base.Macro, base.Network, width, got, want)
+			}
+		}
 	}
 }
 
 // TestBudgetCapacityCoversSearchWorkers checks the budget is sized for
-// the bigger of the pool width and the search fan-out.
+// the bigger of the pool width and the widest adaptive search fan-out
+// (one goroutine per CPU), and that a per-request width beyond it is
+// clamped rather than oversubscribing.
 func TestBudgetCapacityCoversSearchWorkers(t *testing.T) {
-	s := NewServer(BatchOptions{Workers: 2, SearchWorkers: 8})
-	if got := s.SearchStats().Capacity; got != 8 {
-		t.Fatalf("budget capacity %d, want 8", got)
+	cpus := runtime.NumCPU()
+	s := NewServer(BatchOptions{Workers: 1})
+	if got := s.SearchStats().Capacity; got != cpus {
+		t.Fatalf("budget capacity %d, want NumCPU %d", got, cpus)
 	}
-	s = NewServer(BatchOptions{Workers: 8, SearchWorkers: 2})
-	if got := s.SearchStats().Capacity; got != 8 {
-		t.Fatalf("budget capacity %d, want 8", got)
+	wide := cpus + 8
+	s = NewServer(BatchOptions{Workers: wide})
+	if got := s.SearchStats().Capacity; got != wide {
+		t.Fatalf("budget capacity %d, want %d", got, wide)
 	}
-	st := s.SearchStats()
-	if st.Available != 8 || st.SearchWorkers != 2 {
-		t.Fatalf("idle stats %+v", st)
+	req := Request{Macro: "base", Network: "toy", MaxMappings: 16, SearchWorkers: 4 * wide}
+	if _, err := s.Evaluate(req); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.SearchStats(); st.Available != wide {
+		t.Fatalf("idle stats after an over-wide request %+v", st)
 	}
 }
 
@@ -111,8 +123,11 @@ func TestBudgetCapacityCoversSearchWorkers(t *testing.T) {
 // token is returned afterwards — the pool and the fan-out borrow and give
 // back the same global budget.
 func TestSweepRestoresBudget(t *testing.T) {
-	s := NewServer(BatchOptions{Workers: 2, SearchWorkers: 4})
+	s := NewServer(BatchOptions{Workers: 2})
 	reqs := Grid([]string{"base", "macro-b"}, []string{"toy"}, nil, 1, 6)
+	for i := range reqs {
+		reqs[i].SearchWorkers = 4
+	}
 	results, err := s.Sweep(reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +153,10 @@ func TestSweepParallelSearchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := NewServer(BatchOptions{Workers: 2, SearchWorkers: 8})
+	for i := range reqs {
+		reqs[i].SearchWorkers = 8
+	}
+	parallel := NewServer(BatchOptions{Workers: 2})
 	got, err := parallel.Sweep(reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -153,10 +171,10 @@ func TestSweepParallelSearchMatchesSerial(t *testing.T) {
 // TestEvaluateSearchWorkersCancelled checks cancellation still reaches a
 // parallel in-request search through the ctx seam.
 func TestEvaluateSearchWorkersCancelled(t *testing.T) {
-	s := NewServer(BatchOptions{SearchWorkers: 4})
+	s := NewServer(BatchOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.EvaluateCtx(ctx, Request{Macro: "base", Network: "toy", MaxMappings: 16})
+	_, err := s.EvaluateCtx(ctx, Request{Macro: "base", Network: "toy", MaxMappings: 16, SearchWorkers: 4})
 	if err == nil {
 		t.Fatal("cancelled parallel evaluation returned nil error")
 	}
@@ -165,7 +183,7 @@ func TestEvaluateSearchWorkersCancelled(t *testing.T) {
 // TestHTTPSearchWorkersField checks the JSON API accepts search_workers
 // and reports the budget under /healthz.
 func TestHTTPSearchWorkersField(t *testing.T) {
-	s := NewServer(BatchOptions{Workers: 2, SearchWorkers: 4})
+	s := NewServer(BatchOptions{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -197,7 +215,7 @@ func TestHTTPSearchWorkersField(t *testing.T) {
 	if err := json.NewDecoder(health.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Search.Capacity != 4 || h.Search.SearchWorkers != 4 {
+	if want := max(2, runtime.NumCPU()); h.Search.Capacity != want || h.Search.Available != want {
 		t.Fatalf("healthz search stats %+v", h.Search)
 	}
 }

@@ -57,26 +57,6 @@ type BatchOptions struct {
 	// requests that do not set their own (default 60, matching the
 	// experiment runner).
 	MaxMappings int
-	// SearchWorkers is the default intra-request mapping-search fan-out:
-	// each layer's candidate evaluations spread across up to this many
-	// goroutines. Parallel search is bit-identical to serial —
-	// deterministic minimum-cost, lowest-index winner — so the knob only
-	// trades goroutines for single-request latency. Zero (the default)
-	// picks the width adaptively per layer from measured candidate cost
-	// (see searchTuner); negative forces serial search. The fan-out draws
-	// on a concurrency budget shared with the request-level worker pool,
-	// so nested parallelism never oversubscribes: a saturated pool
-	// degrades searches to serial, a lone request gets the whole budget.
-	SearchWorkers int
-	// SampleShards is the default candidate-generation shard count
-	// (core.SearchOptions.SampleShards): > 1 generates each layer's
-	// candidates from that many concurrent seeded streams with a
-	// deterministic merge. Results are a pure function of
-	// (seed, shard count) — but a *different* function than the
-	// single-stream default, so the server never picks this adaptively;
-	// it is fixed configuration (or per-request via sample_shards) and
-	// defaults to 1, preserving every historical result byte for byte.
-	SampleShards int
 	// CacheEntries bounds the engine/context cache (default
 	// DefaultCacheEntries).
 	CacheEntries int
@@ -198,42 +178,11 @@ func (o BatchOptions) mappings() int {
 	return 60
 }
 
-// searchWorkers resolves the configured default fan-out: > 0 is that
-// fixed width, negative is serial (1), and 0 — the zero value — is the
-// adaptive sentinel (the tuner picks a width per layer).
-func (o BatchOptions) searchWorkers() int {
-	if o.SearchWorkers > 0 {
-		return o.SearchWorkers
-	}
-	if o.SearchWorkers < 0 {
-		return 1
-	}
-	return 0 // adaptive
-}
-
-func (o BatchOptions) adaptiveSearch() bool { return o.SearchWorkers == 0 }
-
-func (o BatchOptions) sampleShards() int {
-	if o.SampleShards > 1 {
-		return o.SampleShards
-	}
-	return 1
-}
-
 // budgetCapacity sizes the shared concurrency budget: wide enough for the
-// request pool at full tilt, and for the configured search fan-out when a
-// single request has the server to itself. In adaptive mode the widest
-// useful fan-out is one goroutine per CPU.
+// request pool at full tilt, and for the widest useful search fan-out —
+// one goroutine per CPU — when a single request has the server to itself.
 func (o BatchOptions) budgetCapacity() int {
-	n := o.workers()
-	if o.adaptiveSearch() {
-		if c := runtime.NumCPU(); c > n {
-			n = c
-		}
-	} else if sw := o.searchWorkers(); sw > n {
-		n = sw
-	}
-	return n
+	return max(o.workers(), runtime.NumCPU())
 }
 
 // Server owns the shared cache and worker bound. It is safe for
@@ -343,20 +292,16 @@ func (s *Server) CacheStats() Stats { return s.cache.Stats() }
 // JobStats snapshots the job store's occupancy.
 func (s *Server) JobStats() jobs.Stats { return s.jobs.Stats() }
 
-// SearchStats snapshots the shared evaluation-concurrency budget and, in
-// adaptive mode, the width tuner.
+// SearchStats snapshots the shared evaluation-concurrency budget and the
+// width tuner.
 func (s *Server) SearchStats() BudgetStats {
 	st := BudgetStats{
 		Capacity:          s.budget.capacity(),
 		Available:         s.budget.available(),
-		SearchWorkers:     s.opts.searchWorkers(),
 		BlockedAcquires:   s.budget.blockedAcquires(),
-		Adaptive:          s.opts.adaptiveSearch(),
 		MappingsEvaluated: s.mappingsEvaluated.Load(),
 	}
-	if st.Adaptive {
-		st.AdaptivePlans, st.TunedLayers = s.tuner.stats()
-	}
+	st.AdaptivePlans, st.TunedLayers = s.tuner.stats()
 	return st
 }
 
@@ -518,24 +463,8 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 		mappings = s.opts.mappings()
 	}
 	// Per-request search_workers: > 0 fixed width, negative serial, 0
-	// defers to the server default — which may itself be the adaptive
-	// sentinel (0), in which case the tuner picks a width per layer.
-	searchWorkers := req.SearchWorkers
-	adaptive := false
-	switch {
-	case searchWorkers < 0:
-		searchWorkers = 1
-	case searchWorkers == 0:
-		searchWorkers = s.opts.searchWorkers()
-		adaptive = searchWorkers == 0
-	}
-	// Shard count is part of the result's identity (it selects the
-	// candidate set), so unlike the width it is never adapted: request
-	// field, else server configuration, else 1 (the historical stream).
-	shards := req.SampleShards
-	if shards <= 0 {
-		shards = s.opts.sampleShards()
-	}
+	// (the default) lets the tuner pick a width per layer.
+	adaptive := req.SearchWorkers == 0
 	// Every evaluating goroutine — a sweep worker or a direct caller —
 	// holds one budget token for the duration of its request, so the
 	// budget is a single cap on actively-evaluating goroutines. Best
@@ -563,7 +492,7 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 		// ample deadline headroom may park briefly for its first extra
 		// token (blocking budget mode) rather than degrade to a serial
 		// search the moment the pool is saturated.
-		width := searchWorkers
+		width := max(req.SearchWorkers, 1)
 		var key string
 		if adaptive {
 			key = tunerKey(arch.Name, l.Name)
@@ -578,7 +507,6 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 			MaxMappings:   mappings,
 			Seed:          req.Seed + int64(i),
 			SearchWorkers: 1 + extra,
-			SampleShards:  shards,
 		})
 		s.budget.release(extra)
 		sp.Observe("search", time.Since(searchStart))

@@ -17,11 +17,7 @@ func TestSweepdefGeneratedDefinitionsEvaluate(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
-	// Serial layer search: 100 concurrent toy grids would otherwise
-	// spend most of their wall clock parked in the shared fan-out
-	// budget's blocking wait, and the property under test is definition
-	// validity, not search parallelism.
-	srv := serve.NewServer(serve.BatchOptions{SearchWorkers: -1})
+	srv := serve.NewServer(serve.BatchOptions{})
 	for seed := int64(0); seed < seeds; seed++ {
 		seed := seed
 		t.Run("", func(t *testing.T) {
@@ -33,6 +29,13 @@ func TestSweepdefGeneratedDefinitionsEvaluate(t *testing.T) {
 			reqs, err := def.Compile(nil)
 			if err != nil {
 				t.Fatalf("Generate(%d).Compile:\n%s\n%v", seed, text, err)
+			}
+			// Serial layer search: 100 concurrent toy grids would
+			// otherwise spend most of their wall clock parked in the
+			// shared fan-out budget's blocking wait, and the property
+			// under test is definition validity, not search parallelism.
+			for i := range reqs {
+				reqs[i].SearchWorkers = -1
 			}
 			results, err := srv.Sweep(reqs)
 			if err != nil {
